@@ -10,7 +10,10 @@
 #                        (includes the remos_lint ctest and test_audit)
 #   2. perf-smoke      — micro_waterfill --smoke; the deterministic
 #                        water-filling round counts must match the pins in
-#                        bench/waterfill_rounds.json (tools/check_waterfill.py)
+#                        bench/waterfill_rounds.json (tools/check_waterfill.py);
+#                        then bench/e2e's four --smoke workloads (ctest -L
+#                        e2e), whose replay oracle checks every sampled
+#                        answer the simulated poll path feeds
 #   2b. query-smoke    — micro_query_scale --smoke; workload shape and the
 #                        QueryServer's coalescing counters must match the
 #                        pins in bench/query_scale_pins.json, and the
@@ -61,11 +64,14 @@ if [[ "$FAST" == 1 ]]; then
   exit 0
 fi
 
-step "perf-smoke: deterministic water-filling round counts vs pins"
+step "perf-smoke: water-filling round counts vs pins + e2e smoke workloads"
 cmake --build build -j "$JOBS" --target micro_waterfill
 ./build/bench/micro_waterfill --smoke --out build/BENCH_waterfill_smoke.json
 python3 tools/check_waterfill.py --measured build/BENCH_waterfill_smoke.json \
   --pins bench/waterfill_rounds.json
+cmake -S bench/e2e -B .bench_build/e2e >/dev/null
+cmake --build .bench_build/e2e -j "$JOBS" --target remos_e2e
+ctest --test-dir .bench_build/e2e -L e2e --output-on-failure
 
 step "query-smoke: snapshot-path coalescing counters + speedup vs pins"
 cmake --build build -j "$JOBS" --target micro_query_scale

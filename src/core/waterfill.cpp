@@ -16,10 +16,10 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// 1e-9 of the water level.
 constexpr double kFreezeEps = 1e-9;
 /// Relative headroom a resource must keep over its worst-case load before
-/// the partitioner may cut it. Swamps every float-accumulation error in
-/// the load-bound sum (≤ nnz·2⁻⁵² relative ≈ 1e-10 even at a million
-/// crossings); a borderline resource is merely left uncut, which costs
-/// parallelism, never correctness.
+/// the cut rule may drop it. Swamps every float-accumulation error in the
+/// load-bound sum (≤ nnz·2⁻⁵² relative ≈ 1e-10 even at a million
+/// crossings); a borderline resource is merely kept, which costs a little
+/// work (and parallelism), never correctness.
 constexpr double kCutRelMargin = 1.0 + 1e-6;
 
 }  // namespace
@@ -37,23 +37,115 @@ WaterfillStats WaterfillSolver::solve(std::span<const double> capacity,
               "waterfill: CSR offsets must end at the resource-list size");
   REMOS_CHECK(rates_out.size() == nf, "waterfill: rates_out must have one slot per flow");
 
-  if (nf >= options.partition_min_flows && nf > 1 &&
-      build_partitions(capacity, flow_offsets, flow_resources, demand)) {
-    return solve_partitioned(capacity, flow_offsets, flow_resources, demand, rates_out, options);
+  compact(capacity, flow_resources);
+  if (nf >= options.partition_min_flows && nf > 1 && build_partitions(flow_offsets, demand)) {
+    return solve_partitioned(flow_offsets, demand, rates_out, options);
   }
-  return solve_monolithic(capacity, flow_offsets, flow_resources, demand, rates_out, options);
+  return solve_monolithic(flow_offsets, demand, rates_out, options);
 }
 
-WaterfillStats WaterfillSolver::solve_monolithic(std::span<const double> capacity,
-                                                 std::span<const std::size_t> flow_offsets,
-                                                 std::span<const std::uint32_t> flow_resources,
+void WaterfillSolver::compact(std::span<const double> capacity,
+                              std::span<const std::uint32_t> flow_resources) {
+  const std::size_t nr = capacity.size();
+  // A fresh stamp invalidates every earlier mapping at once; only when the
+  // stamp wraps (after 2^32 solves) is the stamp arena actually cleared.
+  if (++stamp_ == 0) {
+    for (LocalSlot& slot : res_slot_) slot.stamp = 0;
+    stamp_ = 1;
+  }
+  loc_capacity_.clear();
+  loc_resources_.resize(flow_resources.size());
+  for (std::size_t k = 0; k < flow_resources.size(); ++k) {
+    const std::uint32_t key = flow_resources[k];
+    REMOS_CHECK(key < nr, "waterfill: resource id out of range");
+    if (key >= res_slot_.size()) res_slot_.resize(static_cast<std::size_t>(key) + 1);
+    LocalSlot& slot = res_slot_[key];
+    if (slot.stamp != stamp_) {
+      slot.stamp = stamp_;
+      slot.local = static_cast<std::uint32_t>(loc_capacity_.size());
+      loc_capacity_.push_back(capacity[key]);
+    }
+    loc_resources_[k] = slot.local;
+  }
+}
+
+void WaterfillSolver::mark_unsaturable(std::span<const std::size_t> flow_offsets,
+                                       std::span<const double> demand) {
+  const std::size_t nf = demand.size();
+  const std::size_t nl = loc_capacity_.size();
+
+  // Per-flow rate upper bound: a flow can never exceed its demand cap nor
+  // any crossed resource's full capacity (level ≤ every active resource's
+  // saturation level ≤ its capacity).
+  cut_bound_.resize(nf);
+  for (std::size_t f = 0; f < nf; ++f) {
+    double ub = demand[f];
+    for (std::size_t k = flow_offsets[f]; k < flow_offsets[f + 1]; ++k) {
+      ub = std::min(ub, loc_capacity_[loc_resources_[k]]);
+    }
+    cut_bound_[f] = ub;
+  }
+
+  // Worst-case load per resource, counting crossing multiplicity (each
+  // crossing consumes the flow's rate once). Infinite bounds poison the
+  // sum, which correctly marks the resource saturable.
+  res_load_bound_.assign(nl, 0.0);
+  res_uses_.assign(nl, 0);
+  for (std::size_t f = 0; f < nf; ++f) {
+    for (std::size_t k = flow_offsets[f]; k < flow_offsets[f + 1]; ++k) {
+      res_load_bound_[loc_resources_[k]] += cut_bound_[f];
+      ++res_uses_[loc_resources_[k]];
+    }
+  }
+
+  // Cut resources that provably never saturate: even at every crossing
+  // flow's upper bound the capacity keeps both a relative margin (float
+  // accumulation in the bound sum) and an absolute one (the kernel's
+  // freeze tolerance, once per crossing) — so no freezing round, in any
+  // partition or in the monolithic solve, can ever select them. Every
+  // local resource is crossed at least once, so res_uses_ is never 0.
+  keep_id_.resize(nl);
+  std::uint32_t kept = 0;
+  for (std::size_t r = 0; r < nl; ++r) {
+    const bool cut = std::isfinite(res_load_bound_[r]) &&
+                     res_load_bound_[r] * kCutRelMargin < loc_capacity_[r] &&
+                     loc_capacity_[r] - res_load_bound_[r] >
+                         kFreezeEps * static_cast<double>(res_uses_[r] + 1);
+    keep_id_[r] = cut ? kCut : kept++;
+  }
+}
+
+WaterfillStats WaterfillSolver::solve_monolithic(std::span<const std::size_t> flow_offsets,
                                                  std::span<const double> demand,
                                                  std::span<double> rates_out,
                                                  const WaterfillOptions& options) {
   const std::size_t nf = demand.size();
-  const std::size_t nr = capacity.size();
-
   WaterfillStats stats;
+
+  // ---- the kernel's problem: only resources that can saturate ----
+  // A dropped resource never freezes a flow and never sets a round's
+  // level, so leaving it out of the heaps and the usage ledgers changes
+  // no rate and no stat; each flow keeps its remaining constraints in
+  // order (and multiplicity).
+  mark_unsaturable(flow_offsets, demand);
+  kept_capacity_.clear();
+  for (std::size_t r = 0; r < loc_capacity_.size(); ++r) {
+    if (keep_id_[r] != kCut) kept_capacity_.push_back(loc_capacity_[r]);
+  }
+  kept_offsets_.resize(nf + 1);
+  kept_offsets_[0] = 0;
+  kept_resources_.clear();
+  for (std::size_t f = 0; f < nf; ++f) {
+    for (std::size_t k = flow_offsets[f]; k < flow_offsets[f + 1]; ++k) {
+      const std::uint32_t id = keep_id_[loc_resources_[k]];
+      if (id != kCut) kept_resources_.push_back(id);
+    }
+    kept_offsets_[f + 1] = kept_resources_.size();
+  }
+  const std::span<const double> capacity = kept_capacity_;
+  const std::span<const std::size_t> offsets = kept_offsets_;
+  const std::span<const std::uint32_t> resources = kept_resources_;
+  const std::size_t nr = capacity.size();
 
   // ---- per-solve state (arena reuse; no steady-state allocation) ----
   frozen_usage_.assign(nr, 0.0);
@@ -64,20 +156,17 @@ WaterfillStats WaterfillSolver::solve_monolithic(std::span<const double> capacit
   cand_round_.assign(nf, 0);
   frozen_.assign(nf, 0);
   for (std::size_t f = 0; f < nf; ++f) rates_out[f] = 0.0;
-  for (const std::uint32_t key : flow_resources) {
-    REMOS_CHECK(key < nr, "waterfill: resource id out of range");
-    ++unfrozen_[key];
-  }
+  for (const std::uint32_t key : resources) ++unfrozen_[key];
 
   // Reverse CSR (resource -> flows), rebuilt per solve by counting sort.
   res_off_.assign(nr + 1, 0);
-  for (const std::uint32_t key : flow_resources) ++res_off_[key + 1];
+  for (const std::uint32_t key : resources) ++res_off_[key + 1];
   for (std::size_t r = 0; r < nr; ++r) res_off_[r + 1] += res_off_[r];
-  res_flows_.resize(flow_resources.size());
+  res_flows_.resize(resources.size());
   res_cursor_.assign(res_off_.begin(), res_off_.end() - 1);
   for (std::size_t f = 0; f < nf; ++f) {
-    for (std::size_t k = flow_offsets[f]; k < flow_offsets[f + 1]; ++k) {
-      res_flows_[res_cursor_[flow_resources[k]]++] = static_cast<std::uint32_t>(f);
+    for (std::size_t k = offsets[f]; k < offsets[f + 1]; ++k) {
+      res_flows_[res_cursor_[resources[k]]++] = static_cast<std::uint32_t>(f);
     }
   }
 
@@ -93,7 +182,6 @@ WaterfillStats WaterfillSolver::solve_monolithic(std::span<const double> capacit
   };
   res_heap_.clear();
   for (std::size_t r = 0; r < nr; ++r) {
-    if (unfrozen_[r] == 0) continue;
     sat_[r] = (capacity[r] - frozen_usage_[r]) / static_cast<double>(unfrozen_[r]);
     res_heap_.push_back(ResEntry{sat_[r], static_cast<std::uint32_t>(r), 0});
   }
@@ -192,8 +280,8 @@ WaterfillStats WaterfillSolver::solve_monolithic(std::span<const double> capacit
       rates_out[f] = r;
       frozen_[f] = 1;
       --remaining;
-      for (std::size_t k = flow_offsets[f]; k < flow_offsets[f + 1]; ++k) {
-        const std::uint32_t key = flow_resources[k];
+      for (std::size_t k = offsets[f]; k < offsets[f + 1]; ++k) {
+        const std::uint32_t key = resources[k];
         frozen_usage_[key] += r;
         --unfrozen_[key];
         if (touch_round_[key] != round) {
@@ -215,52 +303,11 @@ WaterfillStats WaterfillSolver::solve_monolithic(std::span<const double> capacit
   return stats;
 }
 
-bool WaterfillSolver::build_partitions(std::span<const double> capacity,
-                                       std::span<const std::size_t> flow_offsets,
-                                       std::span<const std::uint32_t> flow_resources,
+bool WaterfillSolver::build_partitions(std::span<const std::size_t> flow_offsets,
                                        std::span<const double> demand) {
   const std::size_t nf = demand.size();
-  const std::size_t nr = capacity.size();
-
-  // Per-flow rate upper bound: a flow can never exceed its demand cap nor
-  // any crossed resource's full capacity (level ≤ every active resource's
-  // saturation level ≤ its capacity).
-  cut_bound_.resize(nf);
-  for (std::size_t f = 0; f < nf; ++f) {
-    double ub = demand[f];
-    for (std::size_t k = flow_offsets[f]; k < flow_offsets[f + 1]; ++k) {
-      REMOS_CHECK(flow_resources[k] < nr, "waterfill: resource id out of range");
-      ub = std::min(ub, capacity[flow_resources[k]]);
-    }
-    cut_bound_[f] = ub;
-  }
-
-  // Worst-case load per resource, counting crossing multiplicity (each
-  // crossing consumes the flow's rate once). Infinite bounds poison the
-  // sum, which correctly marks the resource saturable.
-  res_load_bound_.assign(nr, 0.0);
-  res_uses_.assign(nr, 0);
-  for (std::size_t f = 0; f < nf; ++f) {
-    for (std::size_t k = flow_offsets[f]; k < flow_offsets[f + 1]; ++k) {
-      res_load_bound_[flow_resources[k]] += cut_bound_[f];
-      ++res_uses_[flow_resources[k]];
-    }
-  }
-
-  // Cut resources that provably never saturate: even at every crossing
-  // flow's upper bound the capacity keeps both a relative margin (float
-  // accumulation in the bound sum) and an absolute one (the kernel's
-  // freeze tolerance, once per crossing) — so no freezing round, in any
-  // partition or in the monolithic solve, can ever select them.
-  res_cut_.assign(nr, 0);
-  for (std::size_t r = 0; r < nr; ++r) {
-    if (res_uses_[r] == 0 || !std::isfinite(res_load_bound_[r])) continue;
-    if (res_load_bound_[r] * kCutRelMargin < capacity[r] &&
-        capacity[r] - res_load_bound_[r] >
-            kFreezeEps * static_cast<double>(res_uses_[r] + 1)) {
-      res_cut_[r] = 1;
-    }
-  }
+  const std::size_t nl = loc_capacity_.size();
+  mark_unsaturable(flow_offsets, demand);
 
   // Union-find over flows, joining through every uncut resource. Roots are
   // kept minimal (attach the larger root under the smaller), so a
@@ -274,11 +321,11 @@ bool WaterfillSolver::build_partitions(std::span<const double> capacity,
     }
     return f;
   };
-  res_first_flow_.assign(nr, std::numeric_limits<std::uint32_t>::max());
+  res_first_flow_.assign(nl, std::numeric_limits<std::uint32_t>::max());
   for (std::size_t f = 0; f < nf; ++f) {
     for (std::size_t k = flow_offsets[f]; k < flow_offsets[f + 1]; ++k) {
-      const std::uint32_t r = flow_resources[k];
-      if (res_cut_[r] != 0) continue;
+      const std::uint32_t r = loc_resources_[k];
+      if (keep_id_[r] == kCut) continue;
       if (res_first_flow_[r] == std::numeric_limits<std::uint32_t>::max()) {
         res_first_flow_[r] = static_cast<std::uint32_t>(f);
         continue;
@@ -302,14 +349,12 @@ bool WaterfillSolver::build_partitions(std::span<const double> capacity,
   return ncomp > 1;
 }
 
-WaterfillStats WaterfillSolver::solve_partitioned(std::span<const double> capacity,
-                                                  std::span<const std::size_t> flow_offsets,
-                                                  std::span<const std::uint32_t> flow_resources,
+WaterfillStats WaterfillSolver::solve_partitioned(std::span<const std::size_t> flow_offsets,
                                                   std::span<const double> demand,
                                                   std::span<double> rates_out,
                                                   const WaterfillOptions& options) {
   const std::size_t nf = demand.size();
-  const std::size_t nr = capacity.size();
+  const std::size_t nl = loc_capacity_.size();
   const std::size_t ncomp = partition_count_;
 
   partitions_.resize(ncomp);
@@ -326,20 +371,20 @@ WaterfillStats WaterfillSolver::solve_partitioned(std::span<const double> capaci
   // by several partitions is replicated with its full capacity into each —
   // it never saturates anywhere, so the replicas cannot disagree. Each
   // flow's constraint list (order and multiplicity) is preserved exactly.
-  res_local_.resize(nr);
-  res_owner_.assign(nr, std::numeric_limits<std::uint32_t>::max());
+  part_local_.resize(nl);
+  part_owner_.assign(nl, std::numeric_limits<std::uint32_t>::max());
   for (std::uint32_t c = 0; c < ncomp; ++c) {
     Partition& p = partitions_[c];
     p.offsets.push_back(0);
     for (const std::size_t f : p.flow_ids) {
       for (std::size_t k = flow_offsets[f]; k < flow_offsets[f + 1]; ++k) {
-        const std::uint32_t r = flow_resources[k];
-        if (res_owner_[r] != c) {
-          res_owner_[r] = c;
-          res_local_[r] = static_cast<std::uint32_t>(p.capacity.size());
-          p.capacity.push_back(capacity[r]);
+        const std::uint32_t r = loc_resources_[k];
+        if (part_owner_[r] != c) {
+          part_owner_[r] = c;
+          part_local_[r] = static_cast<std::uint32_t>(p.capacity.size());
+          p.capacity.push_back(loc_capacity_[r]);
         }
-        p.resources.push_back(res_local_[r]);
+        p.resources.push_back(part_local_[r]);
       }
       p.offsets.push_back(p.resources.size());
       p.demand.push_back(demand[f]);

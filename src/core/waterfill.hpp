@@ -13,17 +13,25 @@
 //   * The problem arrives as a flat CSR flow→resource index; the solver
 //     keeps every per-solve array as a reusable arena, so steady-state
 //     solves allocate nothing.
+//   * A solve costs O(nnz log nnz) in the crossings it is handed and is
+//     independent of capacity.size(): the resources the flows actually
+//     cross are renumbered into dense local ids (a stamped map, never
+//     cleared), and every resource that provably can never saturate is
+//     dropped before the heaps are built — the same cut rule the
+//     partitioner uses, so only resources that can become a bottleneck
+//     enter the kernel.
 //   * Saturation candidates come from a lazy-deletion min-heap over
 //     resource saturation levels (entries carry a per-resource generation;
 //     stale entries are discarded on pop), and demand caps from a second
 //     min-heap, so each freezing round touches only the flows and
-//     resources whose residual level actually changed — O((F + nnz) log R)
-//     per solve instead of O(rounds · (F + R)) full rescans.
+//     resources whose residual level actually changed.
 //   * Results are bit-identical to the historical rescan solvers: levels
 //     are derived from the same expressions over the same operands, and
 //     freezes are applied in ascending flow order, so every float is
-//     produced by the identical sequence of IEEE operations. The golden
-//     observability pins cover this.
+//     produced by the identical sequence of IEEE operations. A dropped
+//     resource is never selected by any freezing round nor sets any
+//     round's level, so dropping it changes neither rates nor stats. The
+//     golden observability pins cover this.
 //   * Above an opt-in flow-count threshold the solver partitions the
 //     problem into bottleneck-independent components (union-find over the
 //     incidence, cutting at resources that can never saturate) and solves
@@ -93,7 +101,8 @@ class WaterfillSolver {
   /// Solve one max-min allocation.
   ///
   ///   capacity       capacity per resource id (indexed 0..R-1). Entries
-  ///                  for resources no flow references are never read.
+  ///                  for resources no flow references are never read, and
+  ///                  R itself costs nothing: only crossed ids are touched.
   ///   flow_offsets   CSR offsets into `flow_resources`, size F+1.
   ///   flow_resources resource ids per flow, concatenated. Duplicate ids
   ///                  within one flow count as two constraints (matching
@@ -132,30 +141,58 @@ class WaterfillSolver {
     WaterfillStats stats;
   };
 
+  /// Renumber the resources `flow_resources` crosses into dense local ids
+  /// (first-encounter order): fills loc_capacity_ / loc_resources_.
+  void compact(std::span<const double> capacity, std::span<const std::uint32_t> flow_resources);
+  /// The cut rule shared by both paths: keep_id_[r] = kCut for every local
+  /// resource that provably can never saturate — even at every crossing
+  /// flow's upper bound min(demand, min crossed capacity) it keeps both a
+  /// relative and an absolute margin, so no freezing round (monolithic or
+  /// in any partition) can ever select it. Every other resource gets the
+  /// next dense kernel id, in local id order.
+  void mark_unsaturable(std::span<const std::size_t> flow_offsets, std::span<const double> demand);
   /// The single-component progressive-filling kernel (the historical
-  /// bit-exact solver).
-  WaterfillStats solve_monolithic(std::span<const double> capacity,
-                                  std::span<const std::size_t> flow_offsets,
-                                  std::span<const std::uint32_t> flow_resources,
+  /// bit-exact solver) over the compacted problem, unsaturable resources
+  /// dropped.
+  WaterfillStats solve_monolithic(std::span<const std::size_t> flow_offsets,
                                   std::span<const double> demand, std::span<double> rates_out,
                                   const WaterfillOptions& options);
-  /// Find bottleneck-independent components: resources that provably can
-  /// never saturate are cut from the incidence, union-find joins flows
-  /// through the rest. Returns true when there is more than one component
-  /// (comp_of_flow_ / partition_count_ are then valid).
-  bool build_partitions(std::span<const double> capacity,
-                        std::span<const std::size_t> flow_offsets,
-                        std::span<const std::uint32_t> flow_resources,
-                        std::span<const double> demand);
+  /// Find bottleneck-independent components of the compacted problem:
+  /// unsaturable resources are cut from the incidence, union-find joins
+  /// flows through the rest. Returns true when there is more than one
+  /// component (comp_of_flow_ / partition_count_ are then valid).
+  bool build_partitions(std::span<const std::size_t> flow_offsets, std::span<const double> demand);
   /// Assemble per-component sub-problems, solve them (on `options.pool`
   /// when given), and merge rates/stats in ascending component order.
-  WaterfillStats solve_partitioned(std::span<const double> capacity,
-                                   std::span<const std::size_t> flow_offsets,
-                                   std::span<const std::uint32_t> flow_resources,
+  WaterfillStats solve_partitioned(std::span<const std::size_t> flow_offsets,
                                    std::span<const double> demand, std::span<double> rates_out,
                                    const WaterfillOptions& options);
 
-  // Scratch arenas, reused across solves (sized on first use).
+  // Compaction arenas: global resource id -> local id, valid while the
+  // slot's stamp equals stamp_ (grown to the largest id seen, never
+  // cleared per solve).
+  struct LocalSlot {
+    std::uint32_t stamp = 0;
+    std::uint32_t local = 0;
+  };
+  std::vector<LocalSlot> res_slot_;
+  std::uint32_t stamp_ = 0;
+  std::vector<double> loc_capacity_;       // per local resource
+  std::vector<std::uint32_t> loc_resources_;  // flow_resources in local ids
+
+  // Cut-rule arenas (per local resource unless noted).
+  std::vector<double> cut_bound_;          // per flow: min(demand, min crossed capacity)
+  std::vector<double> res_load_bound_;     // worst-case total load
+  std::vector<std::uint32_t> res_uses_;    // crossing count
+  static constexpr std::uint32_t kCut = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> keep_id_;     // kernel id, or kCut: never saturates
+
+  // Kernel problem: the resources that can saturate, densely renumbered.
+  std::vector<double> kept_capacity_;
+  std::vector<std::size_t> kept_offsets_;
+  std::vector<std::uint32_t> kept_resources_;
+
+  // Kernel scratch (per kept resource / per flow), reused across solves.
   std::vector<double> frozen_usage_;       // per resource
   std::vector<std::uint32_t> unfrozen_;    // per resource
   std::vector<double> sat_;                // per resource, current level
@@ -172,17 +209,13 @@ class WaterfillSolver {
   std::vector<std::uint32_t> touched_;     // per-round dirty resources
 
   // Partitioner arenas.
-  std::vector<double> cut_bound_;          // per flow: min(demand, min crossed capacity)
-  std::vector<double> res_load_bound_;     // per resource: worst-case total load
-  std::vector<std::uint32_t> res_uses_;    // per resource: crossing count
-  std::vector<char> res_cut_;              // per resource: provably never saturates
   std::vector<std::uint32_t> uf_parent_;   // per flow, union-find
-  std::vector<std::uint32_t> res_first_flow_;  // per resource, union anchor
+  std::vector<std::uint32_t> res_first_flow_;  // per local resource, union anchor
   std::vector<std::uint32_t> comp_of_flow_;    // per flow, dense component id
   std::vector<std::uint32_t> comp_remap_;      // union-find root -> dense id
   std::size_t partition_count_ = 0;
-  std::vector<std::uint32_t> res_local_;   // global resource -> partition-local id
-  std::vector<std::uint32_t> res_owner_;   // partition stamp validating res_local_
+  std::vector<std::uint32_t> part_local_;  // local resource -> partition-local id
+  std::vector<std::uint32_t> part_owner_;  // partition stamp validating part_local_
   // remos-analyze: allow(concurrency): pool lanes index disjoint partition slices — parallel_ranges hands each lane a distinct [begin, end) and components are a disjoint cover.
   std::vector<Partition> partitions_;
   /// One private kernel per parallel lane (vector of incomplete self type

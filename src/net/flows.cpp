@@ -62,45 +62,27 @@ void FlowEngine::ensure_resource_tables() {
     resource_capacity_[link_resource_key(l.id, true)] = l.capacity_bps;
     resource_capacity_[link_resource_key(l.id, false)] = l.capacity_bps;
   }
-  // Rebuild the directed-link index from scratch at exactly the current
-  // link count, then re-register every active flow. Growing in place would
-  // keep stale per-link entries alive across a version change (and a link
-  // id could alias a different link after reconfiguration).
-  const bool rebuild = tables_valid_;
-  link_flows_.assign(2 * net_.link_count(), {});
-  for (const auto& [id, f] : flows_) {
+  // A reconfiguration may rewire a link onto another node (move_host) and
+  // grow that node's interface vector, so every cached interface pointer
+  // is resolved afresh against the new topology.
+  for (auto& [id, f] : flows_) {
+    (void)id;
     for (const Hop& h : f.hops) {
-      const std::size_t k = 2 * static_cast<std::size_t>(h.link) + (h.forward ? 0 : 1);
-      REMOS_CHECK(k < link_flows_.size(),
+      REMOS_CHECK(h.link < net_.link_count(),
                   "FlowEngine: active flow crosses a link the topology no longer has");
     }
-    index_flow(id, f);
+    resolve_interfaces(f);
   }
-  if (rebuild) ++link_index_rebuilds_;
   tables_net_version_ = net_.version();
   tables_valid_ = true;
 }
 
 // remos-requires(mu_)
-void FlowEngine::index_flow(FlowId id, const Flow& flow) {
-  for (const Hop& h : flow.hops) {
-    const std::size_t k = 2 * static_cast<std::size_t>(h.link) + (h.forward ? 0 : 1);
-    if (link_flows_.size() <= k) link_flows_.resize(k + 1);
-    std::vector<FlowId>& v = link_flows_[k];
-    // A flow counts once per directed link however many hops cross it;
-    // within one registration only this id can be at the back.
-    if (v.empty() || v.back() != id) v.push_back(id);
-  }
-}
-
-// remos-requires(mu_)
-void FlowEngine::unindex_flow(FlowId id, const Flow& flow) {
-  for (const Hop& h : flow.hops) {
-    const std::size_t k = 2 * static_cast<std::size_t>(h.link) + (h.forward ? 0 : 1);
-    if (k >= link_flows_.size()) continue;
-    std::vector<FlowId>& v = link_flows_[k];
-    const auto it = std::lower_bound(v.begin(), v.end(), id);
-    if (it != v.end() && *it == id) v.erase(it);
+void FlowEngine::resolve_interfaces(Flow& flow) {
+  flow.hop_interfaces.resize(flow.hops.size());
+  for (std::size_t i = 0; i < flow.hops.size(); ++i) {
+    flow.hop_interfaces[i] = {&net_.egress_interface(flow.hops[i]),
+                              &net_.ingress_interface(flow.hops[i])};
   }
 }
 
@@ -129,6 +111,16 @@ FlowId FlowEngine::start(FlowSpec spec) {
   f.resource_keys.reserve(f.hops.size() + f.shared_segments.size());
   for (const Hop& h : f.hops) f.resource_keys.push_back(link_resource_key(h.link, h.forward));
   for (SegmentId sid : f.shared_segments) f.resource_keys.push_back(segment_resource_key(sid));
+  // The rate counts once per directed link however many hops cross it.
+  for (const Hop& h : f.hops) {
+    const auto k = static_cast<std::uint32_t>(2 * static_cast<std::size_t>(h.link) +
+                                              (h.forward ? 0 : 1));
+    if (std::find(f.directed_links.begin(), f.directed_links.end(), k) ==
+        f.directed_links.end()) {
+      f.directed_links.push_back(k);
+    }
+  }
+  resolve_interfaces(f);
   f.remaining_bytes = static_cast<double>(spec.bytes);
   f.stats.start_time = engine_.now();
   f.spec = std::move(spec);
@@ -136,7 +128,6 @@ FlowId FlowEngine::start(FlowSpec spec) {
   FlowId id = next_id_++;
   auto [it, inserted] = flows_.emplace(id, std::move(f));
   REMOS_CHECK(inserted, "FlowEngine: duplicate flow id");
-  index_flow(id, it->second);
   recompute_rates();
   // remos-analyze: allow(lock): only *schedules* handle_completion_event; the lambda runs later from the event loop, after mu_ is released.
   schedule_next_completion();
@@ -157,7 +148,6 @@ void FlowEngine::stop(FlowId id) {
   f.stats.end_time = engine_.now();
   f.stats.completed = false;
   record_finished(id, f.stats);
-  unindex_flow(id, f);
   flows_.erase(it);
   recompute_rates();
   // remos-analyze: allow(lock): only *schedules* handle_completion_event; the lambda runs later from the event loop, after mu_ is released.
@@ -178,20 +168,6 @@ double FlowEngine::directed_link_rate(LinkId link, bool forward) const {
   return k < view->directed_rate_bps.size() ? view->directed_rate_bps[k] : 0.0;
 }
 
-// remos-requires(mu_)
-double FlowEngine::directed_link_rate_locked(LinkId link, bool forward) const {
-  const std::size_t k = 2 * static_cast<std::size_t>(link) + (forward ? 0 : 1);
-  if (k >= link_flows_.size()) return 0.0;
-  double total = 0.0;
-  // Ascending FlowId, the order the historical full-table scan summed in.
-  for (const FlowId id : link_flows_[k]) {
-    const auto it = flows_.find(id);
-    REMOS_CHECK(it != flows_.end(), "FlowEngine: link index entry for inactive flow");
-    total += it->second.rate_bps;
-  }
-  return total;
-}
-
 std::optional<FlowStats> FlowEngine::stats(FlowId id) const {
   std::lock_guard lock(mu_);
   if (auto it = flows_.find(id); it != flows_.end()) return it->second.stats;
@@ -209,9 +185,9 @@ void FlowEngine::record_finished(FlowId id, const FlowStats& stats) {
 void FlowEngine::credit_octets(Flow& flow, std::uint64_t octets) {
   if (octets == 0) return;
   flow.stats.delivered_bytes += octets;
-  for (const Hop& h : flow.hops) {
-    net_.egress_interface(h).out_octets += octets;
-    net_.ingress_interface(h).in_octets += octets;
+  for (const HopInterfaces& hop : flow.hop_interfaces) {
+    hop.egress->out_octets += octets;
+    hop.ingress->in_octets += octets;
   }
 }
 
@@ -222,6 +198,9 @@ void FlowEngine::sync() {
 
 // remos-requires(mu_)
 void FlowEngine::sync_locked() {
+  // Crediting goes through the flows' cached interface pointers, which a
+  // topology change since the last call may have left stale.
+  ensure_resource_tables();
   const sim::Time now = engine_.now();
   const double dt = now - last_sync_;
   if (dt <= 0) {
@@ -325,11 +304,12 @@ void FlowEngine::publish_rates_view() {
   // remos-analyze: allow(hotpath): RCU publication — every recompute builds a fresh immutable view for readers still holding the old one; the allocation IS the publication protocol
   auto view = std::make_shared<RatesView>();
   view->flow_rates.reserve(flows_.size());
-  for (const auto& [id, f] : flows_) view->flow_rates.emplace_back(id, f.rate_bps);
-  view->directed_rate_bps.resize(link_flows_.size());
-  for (std::size_t k = 0; k < link_flows_.size(); ++k) {
-    view->directed_rate_bps[k] =
-        directed_link_rate_locked(static_cast<LinkId>(k / 2), (k % 2) == 0);
+  view->directed_rate_bps.assign(2 * net_.link_count(), 0.0);
+  // One pass in ascending FlowId: each directed link's sum sees its flows'
+  // rates in id order, each flow once per distinct link it crosses.
+  for (const auto& [id, f] : flows_) {
+    view->flow_rates.emplace_back(id, f.rate_bps);
+    for (const std::uint32_t k : f.directed_links) view->directed_rate_bps[k] += f.rate_bps;
   }
   rates_view_.store(std::move(view), std::memory_order_release);
 }
@@ -371,7 +351,6 @@ void FlowEngine::handle_completion_event() {
         f.octet_carry = 0.0;
         record_finished(it->first, f.stats);
         if (f.spec.on_complete) callbacks.emplace_back(it->first, std::move(f.spec.on_complete));
-        unindex_flow(it->first, f);
         it = flows_.erase(it);
       } else {
         ++it;

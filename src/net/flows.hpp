@@ -11,10 +11,13 @@
 // data, by the Remos Modeler (core/maxmin); comparing the two is how the
 // reproduction evaluates SNMP Collector accuracy (Figs 4-5). Both solvers
 // share one water-filling kernel (core/waterfill); the engine's job here is
-// to keep the problem *incremental*: per-flow resource lists and the
-// resource capacity table persist across start/stop/completion, a
-// per-directed-link index answers link-rate queries in O(flows on link),
-// and resolved paths are cached per (src, dst) until the topology changes.
+// to keep each rate change O(active flows x path length), never O(network):
+// per-flow resource keys, distinct directed links and hop interfaces are
+// resolved once at start() (interfaces again, in place, whenever
+// Network::version() changes), the resource capacity table persists across
+// start/stop/completion, every recompute publishes its per-directed-link
+// rate sums in one pass over the active flows, and resolved paths are
+// cached per (src, dst) until the topology changes.
 //
 // Threading discipline. The simulation itself is single-threaded, but
 // queries (SNMP agents sampling counters, RTT probes, collector fleets on
@@ -116,8 +119,7 @@ class FlowEngine {
 
   /// Ground-truth aggregate rate currently crossing a directed link.
   /// Lock-free: O(1) lookup in the published RatesView's per-directed-link
-  /// sums (accumulated in ascending-FlowId order, bit-identical to the
-  /// historical locked scan).
+  /// sums (accumulated in ascending-FlowId order).
   // remos-hot
   [[nodiscard]] double directed_link_rate(LinkId link, bool forward) const;
 
@@ -165,14 +167,11 @@ class FlowEngine {
     return path_cache_misses_;
   }
 
-  /// Times the per-directed-link flow index was rebuilt because the
-  /// topology version changed (tested by the invalidation tests).
-  [[nodiscard]] std::uint64_t link_index_rebuilds() const {
-    std::lock_guard lock(mu_);
-    return link_index_rebuilds_;
-  }
-
  private:
+  struct HopInterfaces {
+    Interface* egress = nullptr;   // sending end: out_octets
+    Interface* ingress = nullptr;  // receiving end: in_octets
+  };
   struct Flow {
     FlowSpec spec;
     std::vector<Hop> hops;
@@ -181,6 +180,13 @@ class FlowEngine {
     /// computed once at start(). Duplicates preserved: a resource crossed
     /// twice constrains the flow twice, as in the original solver.
     std::vector<std::uint32_t> resource_keys;
+    /// Distinct directed links crossed (2*link + dir, first-encounter
+    /// order): the slots this flow's rate adds to in the published view.
+    std::vector<std::uint32_t> directed_links;
+    /// Per hop: the interfaces whose octet counters it advances. Pointers
+    /// into Network's interface vectors, re-resolved in place whenever the
+    /// topology version changes (move_host may grow a switch's vector).
+    std::vector<HopInterfaces> hop_interfaces;
     double rate_bps = 0.0;
     double remaining_bytes = 0.0;  // only meaningful when spec.bytes > 0
     /// Sub-byte residue of delivered traffic, carried across syncs so
@@ -202,8 +208,8 @@ class FlowEngine {
     /// Active flows' current rates, ascending FlowId (binary-searchable).
     std::vector<std::pair<FlowId, double>> flow_rates;
     /// Aggregate rate per directed link (2*link + dir), summed in
-    /// ascending-FlowId order per link — the same float accumulation
-    /// sequence as the historical per-query locked scan.
+    /// ascending-FlowId order per link, each flow once per distinct
+    /// directed link it crosses.
     std::vector<double> directed_rate_bps;
   };
 
@@ -215,7 +221,6 @@ class FlowEngine {
   void publish_rates_view();
   void schedule_next_completion();
   void handle_completion_event();
-  [[nodiscard]] double directed_link_rate_locked(LinkId link, bool forward) const;
   /// Credit octets to the flow's stats and every traversed interface in
   /// one step — the single place flow-visible and SNMP-visible counters
   /// advance, so they cannot drift apart.
@@ -232,14 +237,13 @@ class FlowEngine {
     return static_cast<std::uint32_t>(net_.segment_count() + 2 * static_cast<std::size_t>(link) +
                                       (forward ? 0 : 1));
   }
-  /// Rebuild the persistent resource capacity table and the
-  /// per-directed-link index when the topology version changed. The index
-  /// is rebuilt from scratch — sized to exactly the current link count —
-  /// so a version change can never leave dangling directed-link entries.
+  /// Rebuild the persistent resource capacity table and re-resolve every
+  /// active flow's hop interfaces when the topology version changed, so
+  /// neither a capacity nor an interface pointer outlives a reconfiguration.
+  /// Runs before any octet crediting or rate recompute.
   void ensure_resource_tables();
-  /// Register / unregister a flow in the per-directed-link index.
-  void index_flow(FlowId id, const Flow& flow);
-  void unindex_flow(FlowId id, const Flow& flow);
+  /// Point each of the flow's hops at its current egress/ingress interface.
+  void resolve_interfaces(Flow& flow);
   /// Cached resolve_path (invalidated when the topology version changes).
   /// Takes path_mu_ itself; safe to call with or without mu_ held (mu_ is
   /// strictly outer). The returned reference stays valid until the next
@@ -282,11 +286,6 @@ class FlowEngine {
   /// schedule_next_completion is O(1).
   // remos-guarded-by(mu_)
   double earliest_completion_dt_ = std::numeric_limits<double>::infinity();
-  /// Per directed link (2*link+dir): active FlowIds crossing it, ascending
-  /// (ids are handed out monotonically, so appends keep the order — and
-  /// rate sums visit flows in the same order the full scan did).
-  std::vector<std::vector<FlowId>> link_flows_;   // remos-guarded-by(mu_)
-  std::uint64_t link_index_rebuilds_ = 0;         // remos-guarded-by(mu_)
   std::uint64_t waterfill_rounds_total_ = 0;      // remos-guarded-by(mu_)
   /// Published rate summary (see RatesView). Written only by
   /// publish_rates_view() with mu_ held; read lock-free from any thread.

@@ -2,6 +2,9 @@
 // property every experiment in EXPERIMENTS.md depends on.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "apps/mirror.hpp"
 #include "apps/testbed.hpp"
 
@@ -42,6 +45,48 @@ TEST(Determinism, CollectorCostsIdenticalAcrossRuns) {
     return costs;
   };
   EXPECT_EQ(run(), run());
+}
+
+/// 64-bit FNV-1a over every interface's (in, out) octet counters, nodes and
+/// ports in id order: one number that moves if any counter moves.
+std::uint64_t interface_octets_fnv1a(const net::Network& net) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const net::Node& n : net.nodes()) {
+    for (const net::Interface& ifc : n.interfaces) {
+      mix(ifc.in_octets);
+      mix(ifc.out_octets);
+    }
+  }
+  return h;
+}
+
+TEST(Determinism, LongPollPathPinned) {
+  // The poll path end to end over a long warm-up: cross traffic, benchmark
+  // probes and every rate change the fluid engine makes credit the octet
+  // counters the SNMP Collector polls. 4,000 virtual s of a 6 x 8 WAN (the
+  // e2e bench's site shape) pins every counter, the water-filling work and
+  // the event trajectory, so a rate or crediting change that moves one
+  // simulated bit fails here, far past the goldens' few hundred seconds.
+  apps::WanTestbed::Params p;
+  for (std::size_t i = 0; i < 6; ++i) {
+    p.sites.push_back({"s" + std::to_string(i), 8, 100e6,
+                       (4.0 + static_cast<double>(i % 5)) * 1e6});
+  }
+  p.cross_traffic_load = 0.3;
+  p.seed = 11;
+  apps::WanTestbed w(p);
+  w.warm_up(4000.0);
+  w.flows->sync();
+  EXPECT_EQ(interface_octets_fnv1a(w.net), 152857340520126273ULL);
+  EXPECT_EQ(w.flows->waterfill_rounds_total(), 169199ULL);
+  EXPECT_EQ(w.flows->started_count(), 15377ULL);
+  EXPECT_EQ(w.engine.dispatched(), 31826ULL);
 }
 
 TEST(Determinism, DifferentSeedsDiverge) {

@@ -338,9 +338,9 @@ TEST(FlowEngine, ZeroCapacityLinkRttStaysFinite) {
 }
 
 TEST(FlowEngine, LinkIndexRebuiltOnTopologyChange) {
-  // Rehoming a host bumps the topology version; the per-directed-link
-  // index must be rebuilt at the new link count (not merely grown), so no
-  // stale entries survive on the links the old paths crossed.
+  // Rehoming a host bumps the topology version; the published
+  // per-directed-link rates must follow the new paths, so nothing stale
+  // survives on the links the old paths crossed.
   Network lan{"lan"};
   sim::Engine engine;
   const NodeId sw0 = lan.add_switch("sw0");
@@ -354,22 +354,63 @@ TEST(FlowEngine, LinkIndexRebuiltOnTopologyChange) {
   FlowEngine flows(engine, lan);
 
   const FlowId f1 = flows.start(FlowSpec{.src = h0, .dst = h1});
-  EXPECT_EQ(flows.link_index_rebuilds(), 0u);
   EXPECT_DOUBLE_EQ(flows.directed_link_rate(l0, true) + flows.directed_link_rate(l0, false),
                    100e6);
   flows.stop(f1);
 
   lan.move_host(h0, sw1, 100e6);
   const FlowId f2 = flows.start(FlowSpec{.src = h0, .dst = h1});
-  EXPECT_EQ(flows.link_index_rebuilds(), 1u);
   // move_host rewires l0 onto sw1, so it still carries the new flow — but
-  // the trunk is off every path now; a stale index entry would make it
-  // non-zero (or trip the index's active-flow check).
+  // the trunk is off every path now; a stale per-link sum would make it
+  // non-zero.
   EXPECT_DOUBLE_EQ(flows.directed_link_rate(l0, true) + flows.directed_link_rate(l0, false),
                    100e6);
   EXPECT_DOUBLE_EQ(
       flows.directed_link_rate(trunk, true) + flows.directed_link_rate(trunk, false), 0.0);
   EXPECT_DOUBLE_EQ(flows.rate(f2), 100e6);
+}
+
+TEST(FlowEngine, OctetsReconcileAcrossHostMoveOntoCrossedSwitch) {
+  // A flow crosses sw1 while a host moves onto sw1: the move rewires the
+  // host's link onto a new sw1 port, growing (and possibly reallocating)
+  // sw1's interface vector under the flow's cached interface pointers.
+  // Crediting after the move must land on live interfaces, and every
+  // hop's counters must still reconcile with delivered_bytes.
+  Network lan{"lan"};
+  sim::Engine engine;
+  const NodeId sw0 = lan.add_switch("sw0");
+  const NodeId sw1 = lan.add_switch("sw1");
+  const NodeId a = lan.add_host("a");
+  const NodeId b = lan.add_host("b");
+  const NodeId roamer = lan.add_host("roamer");
+  const LinkId la = lan.connect(a, sw0, 100e6);
+  const LinkId lb = lan.connect(b, sw1, 100e6);
+  const LinkId trunk = lan.connect(sw0, sw1, 1e9);
+  lan.connect(roamer, sw0, 100e6);
+  lan.finalize();
+  FlowEngine flows(engine, lan);
+
+  const FlowId f = flows.start(FlowSpec{.src = a, .dst = b, .demand_bps = 8e6});
+  const std::size_t ports_before = lan.node(sw1).interfaces.size();
+  engine.advance(3.3);
+  flows.sync();
+  for (int i = 0; i < 4; ++i) {
+    // Each move adds a port to the target switch.
+    lan.move_host(roamer, i % 2 == 0 ? sw1 : sw0, 100e6);
+    engine.advance(1.7);
+    flows.sync();
+  }
+  EXPECT_EQ(lan.node(sw1).interfaces.size(), ports_before + 2);
+  flows.stop(f);
+
+  const auto st = flows.stats(f);
+  ASSERT_TRUE(st.has_value());
+  EXPECT_EQ(st->delivered_bytes, static_cast<std::uint64_t>(8e6 / 8.0 * 10.1 + 0.5));
+  for (const LinkId l : {la, trunk, lb}) {
+    const Hop hop{l, lan.link(l).a == a || lan.link(l).a == sw0};
+    EXPECT_EQ(lan.egress_interface(hop).out_octets, st->delivered_bytes) << "link " << l;
+    EXPECT_EQ(lan.ingress_interface(hop).in_octets, st->delivered_bytes) << "link " << l;
+  }
 }
 
 }  // namespace

@@ -3,10 +3,12 @@
 // path cache's invalidation on topology change.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/waterfill.hpp"
@@ -28,8 +30,13 @@ struct Problem {
 /// Textbook rescan water-filler, retained as the reference the optimized
 /// kernel is checked against: every round recomputes every resource's
 /// saturation level from scratch. Same freeze tolerance (1e-9) and the
-/// same per-caller level options as the kernel.
-std::vector<double> naive_waterfill(const Problem& p, const core::WaterfillOptions& opt) {
+/// same per-caller level options as the kernel. When `stats` is given it
+/// receives the same work counters the kernel reports.
+std::vector<double> naive_waterfill(const Problem& p, const core::WaterfillOptions& opt,
+                                    core::WaterfillStats* stats = nullptr) {
+  core::WaterfillStats local;
+  core::WaterfillStats& st = stats != nullptr ? *stats : local;
+  st = core::WaterfillStats{};
   const std::size_t nf = p.demand.size();
   const std::size_t nr = p.capacity.size();
   std::vector<double> rates(nf, 0.0);
@@ -50,6 +57,7 @@ std::vector<double> naive_waterfill(const Problem& p, const core::WaterfillOptio
       if (frozen[f] == 0) ++active;
     }
     if (active == 0) break;
+    ++st.rounds;
     std::vector<double> sat(nr, kInf);
     double next = kInf;
     for (std::size_t r = 0; r < nr; ++r) {
@@ -71,11 +79,13 @@ std::vector<double> naive_waterfill(const Problem& p, const core::WaterfillOptio
     bool any = false;
     for (std::size_t f = 0; f < nf; ++f) {
       if (frozen[f] != 0) continue;
-      bool freeze = p.demand[f] <= thr;
+      const bool capped = p.demand[f] <= thr;
+      bool freeze = capped;
       for (std::size_t k = p.offsets[f]; k < p.offsets[f + 1] && !freeze; ++k) {
         freeze = sat[p.resources[k]] <= thr;
       }
       if (freeze) {
+        ++(capped ? st.demand_frozen : st.saturation_frozen);
         frozen[f] = 1;
         rates[f] = std::min(level, p.demand[f]);
         any = true;
@@ -210,6 +220,183 @@ TEST(Waterfill, EmptyProblem) {
   EXPECT_EQ(s.rounds, 0u);
   EXPECT_EQ(s.demand_frozen, 0u);
   EXPECT_EQ(s.saturation_frozen, 0u);
+}
+
+/// Solve `p` and check it against the naive reference: rates within the
+/// freeze tolerance, identical work counters. Returns the kernel's rates.
+std::vector<double> expect_matches_naive(core::WaterfillSolver& solver, const Problem& p,
+                                         const core::WaterfillOptions& opt,
+                                         const std::string& where) {
+  std::vector<double> rates(p.demand.size(), 0.0);
+  const core::WaterfillStats got =
+      solver.solve(p.capacity, p.offsets, p.resources, p.demand, rates, opt);
+  core::WaterfillStats want_stats;
+  const std::vector<double> want = naive_waterfill(p, opt, &want_stats);
+  for (std::size_t f = 0; f < rates.size(); ++f) {
+    EXPECT_NEAR(rates[f], want[f], 1e-9) << where << " flow " << f;
+  }
+  EXPECT_EQ(got.rounds, want_stats.rounds) << where;
+  EXPECT_EQ(got.demand_frozen, want_stats.demand_frozen) << where;
+  EXPECT_EQ(got.saturation_frozen, want_stats.saturation_frozen) << where;
+  return rates;
+}
+
+void expect_same_solve(const std::vector<double>& a, const core::WaterfillStats& sa,
+                       const std::vector<double>& b, const core::WaterfillStats& sb,
+                       const std::string& where) {
+  ASSERT_EQ(a.size(), b.size()) << where;
+  EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(double))) << where;
+  EXPECT_EQ(sa.rounds, sb.rounds) << where;
+  EXPECT_EQ(sa.demand_frozen, sb.demand_frozen) << where;
+  EXPECT_EQ(sa.saturation_frozen, sb.saturation_frozen) << where;
+}
+
+TEST(WaterfillKernel, SparseResourceIdsCostNothingAndChangeNothing) {
+  // The same problem with its resources scattered over a capacity table
+  // 8-64x larger, every unused slot NaN: the kernel must never read an
+  // unused slot, and the answer must be bit-identical to the dense layout.
+  core::WaterfillSolver dense_solver;
+  core::WaterfillSolver sparse_solver;
+  for (std::uint64_t seed = 400; seed < 440; ++seed) {
+    const Problem p = random_problem(seed);
+    std::mt19937_64 rng(seed);
+    const std::size_t spread = std::uniform_int_distribution<std::size_t>(8, 64)(rng);
+    std::vector<std::uint32_t> slot(spread * p.capacity.size());
+    for (std::size_t i = 0; i < slot.size(); ++i) slot[i] = static_cast<std::uint32_t>(i);
+    std::shuffle(slot.begin(), slot.end(), rng);
+    Problem sparse = p;
+    sparse.capacity.assign(slot.size(), std::numeric_limits<double>::quiet_NaN());
+    for (std::size_t r = 0; r < p.capacity.size(); ++r) sparse.capacity[slot[r]] = p.capacity[r];
+    for (std::uint32_t& r : sparse.resources) r = slot[r];
+    for (const bool monotone : {true, false}) {
+      core::WaterfillOptions opt;
+      opt.monotone_level = monotone;
+      opt.clamp_negative_level = !monotone;
+      const std::string where =
+          "seed " + std::to_string(seed) + " monotone " + std::to_string(monotone);
+      std::vector<double> a(p.demand.size(), 0.0);
+      std::vector<double> b(p.demand.size(), 0.0);
+      const core::WaterfillStats sa =
+          dense_solver.solve(p.capacity, p.offsets, p.resources, p.demand, a, opt);
+      const core::WaterfillStats sb = sparse_solver.solve(sparse.capacity, sparse.offsets,
+                                                          sparse.resources, sparse.demand, b, opt);
+      expect_same_solve(a, sa, b, sb, where);
+      expect_matches_naive(sparse_solver, sparse, opt, where);
+    }
+  }
+}
+
+TEST(WaterfillKernel, BackboneHeadroomIsDroppedWithoutChangingTheAnswer) {
+  // Random problems plus 1-3 "backbone" resources with 10-100x headroom
+  // over every crossing flow's upper bound, so the cut rule drops them.
+  // A resource that can never saturate cannot matter: the answer must be
+  // bit-identical to the same problem without the backbones, and match
+  // the naive reference (which keeps them) in rates and counters.
+  core::WaterfillSolver solver;
+  core::WaterfillSolver bare_solver;
+  for (std::uint64_t seed = 500; seed < 540; ++seed) {
+    const Problem bare = random_problem(seed);
+    std::mt19937_64 rng(seed * 7919);
+    const std::size_t nbackbone = std::uniform_int_distribution<std::size_t>(1, 3)(rng);
+    const auto first_backbone = static_cast<std::uint32_t>(bare.capacity.size());
+    std::vector<double> bound(bare.demand.size());
+    for (std::size_t f = 0; f < bare.demand.size(); ++f) {
+      bound[f] = bare.demand[f];
+      for (std::size_t k = bare.offsets[f]; k < bare.offsets[f + 1]; ++k) {
+        bound[f] = std::min(bound[f], bare.capacity[bare.resources[k]]);
+      }
+    }
+    std::vector<double> load(nbackbone, 0.0);
+    Problem p;
+    p.capacity = bare.capacity;
+    p.demand = bare.demand;
+    p.offsets.push_back(0);
+    std::uniform_int_distribution<int> coin(0, 1);
+    for (std::size_t f = 0; f < bare.demand.size(); ++f) {
+      for (std::size_t k = bare.offsets[f]; k < bare.offsets[f + 1]; ++k) {
+        p.resources.push_back(bare.resources[k]);
+        // Backbones interleave with the flow's own constraints.
+        for (std::size_t b = 0; b < nbackbone; ++b) {
+          if (coin(rng) == 0) continue;
+          p.resources.push_back(first_backbone + static_cast<std::uint32_t>(b));
+          load[b] += bound[f];
+        }
+      }
+      p.offsets.push_back(p.resources.size());
+    }
+    std::uniform_real_distribution<double> headroom(10.0, 100.0);
+    for (std::size_t b = 0; b < nbackbone; ++b) {
+      p.capacity.push_back(headroom(rng) * std::max(load[b], 1.0));
+    }
+    for (const bool monotone : {true, false}) {
+      core::WaterfillOptions opt;
+      opt.monotone_level = monotone;
+      opt.clamp_negative_level = !monotone;
+      const std::string where =
+          "seed " + std::to_string(seed) + " monotone " + std::to_string(monotone);
+      const std::vector<double> got = expect_matches_naive(solver, p, opt, where);
+      std::vector<double> want(bare.demand.size(), 0.0);
+      const core::WaterfillStats sw =
+          bare_solver.solve(bare.capacity, bare.offsets, bare.resources, bare.demand, want, opt);
+      std::vector<double> again(p.demand.size(), 0.0);
+      const core::WaterfillStats sg =
+          solver.solve(p.capacity, p.offsets, p.resources, p.demand, again, opt);
+      expect_same_solve(got, sg, again, sg, where + " (rerun)");
+      expect_same_solve(want, sw, again, sg, where);
+    }
+  }
+}
+
+TEST(WaterfillKernel, ZeroAndInfiniteCapacitiesAreNeverCutWrongly) {
+  // A zero-capacity resource always saturates at level 0, so it must never
+  // be dropped; an infinite-capacity one never saturates, but when it is a
+  // greedy flow's only constraint the flow's bound is infinite and the
+  // resource stays in — the flow then freezes at 0, as the reference does.
+  core::WaterfillSolver solver;
+  for (std::uint64_t seed = 600; seed < 640; ++seed) {
+    Problem p = random_problem(seed);
+    std::mt19937_64 rng(seed);
+    const auto zero = static_cast<std::uint32_t>(p.capacity.size());
+    const auto inf = zero + 1;
+    p.capacity.push_back(0.0);
+    p.capacity.push_back(kInf);
+    std::uniform_int_distribution<int> pct(0, 99);
+    Problem q;
+    q.capacity = p.capacity;
+    q.offsets.push_back(0);
+    for (std::size_t f = 0; f < p.demand.size(); ++f) {
+      const int roll = pct(rng);
+      if (roll < 15) {
+        q.resources.push_back(inf);  // only an infinite resource
+      } else {
+        q.resources.insert(q.resources.end(), p.resources.begin() + p.offsets[f],
+                           p.resources.begin() + p.offsets[f + 1]);
+        if (roll < 35) q.resources.push_back(zero);
+        if (roll >= 60) q.resources.push_back(inf);
+      }
+      q.offsets.push_back(q.resources.size());
+      q.demand.push_back(p.demand[f]);
+    }
+    for (const bool monotone : {true, false}) {
+      core::WaterfillOptions opt;
+      opt.monotone_level = monotone;
+      opt.clamp_negative_level = !monotone;
+      const std::string where =
+          "seed " + std::to_string(seed) + " monotone " + std::to_string(monotone);
+      const std::vector<double> rates = expect_matches_naive(solver, q, opt, where);
+      for (std::size_t f = 0; f < q.demand.size(); ++f) {
+        for (std::size_t k = q.offsets[f]; k < q.offsets[f + 1]; ++k) {
+          if (q.resources[k] == zero) {
+            EXPECT_EQ(rates[f], 0.0) << where << " flow " << f << " crosses the zero resource";
+          }
+        }
+        if (q.offsets[f + 1] - q.offsets[f] == 1 && q.resources[q.offsets[f]] == inf &&
+            std::isinf(q.demand[f])) {
+          EXPECT_EQ(rates[f], 0.0) << where << " unconstrained greedy flow " << f;
+        }
+      }
+    }
+  }
 }
 
 /// `clusters` independent sub-problems (private resources + flows) plus one
