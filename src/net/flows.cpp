@@ -126,7 +126,7 @@ FlowId FlowEngine::start(FlowSpec spec) {
   f.spec = std::move(spec);
 
   FlowId id = next_id_++;
-  auto [it, inserted] = flows_.emplace(id, std::move(f));
+  const bool inserted = flows_.emplace(id, std::move(f)).second;
   REMOS_CHECK(inserted, "FlowEngine: duplicate flow id");
   recompute_rates();
   // remos-analyze: allow(lock): only *schedules* handle_completion_event; the lambda runs later from the event loop, after mu_ is released.
